@@ -26,6 +26,13 @@
 //!    of the solo measurement — asserted there, recorded (not asserted) on
 //!    the single-core build container where timeslicing inflates every
 //!    thread's wall clock.
+//! 5. **Encoding a hit is the serve path's price, and it is gated.** A hit
+//!    hands out the cached result, but the server still encodes it as the
+//!    `/query` response body on every request. `encode_ns` times
+//!    `search_result_to_json` on the cached result (gated by
+//!    `bench_compare` like every `*_ns` key); `response_bytes` records the
+//!    body size it produced (not gated: it moves with the graph, not the
+//!    encoder).
 //!
 //! Results land in a machine-readable `BENCH_serving.json` (committed, like
 //! `BENCH_incremental.json`) so the serve-path trajectory is visible per PR.
@@ -40,6 +47,7 @@ use egraph_core::bfs::bfs;
 use egraph_core::graph::EvolvingGraph;
 use egraph_core::ids::NodeId;
 use egraph_core::instrument::CountingView;
+use egraph_query::codec::search_result_to_json;
 use egraph_query::Search;
 use egraph_stream::{LiveGraph, QueryCache};
 use rand::rngs::SmallRng;
@@ -50,6 +58,7 @@ const EDGES_PER_SNAPSHOT: usize = 3_000;
 const HISTORIES: [usize; 3] = [8, 16, 32];
 const HIT_REPS: usize = 20_000;
 const READER_THREADS: [usize; 3] = [1, 2, 4];
+const ENCODE_REPS: usize = 200;
 
 struct SizeReport {
     history: usize,
@@ -58,6 +67,8 @@ struct SizeReport {
     nested_bfs_ns: f64,
     csr_bfs_ns: f64,
     bfs_work: u64,
+    encode_ns: f64,
+    response_bytes: usize,
     reader_throughput: Vec<(usize, f64)>,
     /// `(hit_ns under concurrent pool recomputes, recomputes completed)` —
     /// measured for the largest history only.
@@ -263,10 +274,15 @@ fn serving_throughput(c: &mut Criterion) {
             }
         }
 
+        // --- 5. Encode: the cached result as a response body. -------------
+        let response_bytes = search_result_to_json(&baseline).len();
+        let encode_ns = time_per_call(ENCODE_REPS, || search_result_to_json(&baseline));
+
         println!(
             "serving_throughput/h{history}: hit {hit_ns:.0} ns vs deep clone \
              {deep_clone_ns:.0} ns ({:.1}x); bfs csr {csr_bfs_ns:.0} ns vs nested \
-             {nested_bfs_ns:.0} ns ({:.2}x), work {csr_work} (parity); readers {:?}",
+             {nested_bfs_ns:.0} ns ({:.2}x), work {csr_work} (parity); encode \
+             {encode_ns:.0} ns for {response_bytes} bytes; readers {:?}",
             deep_clone_ns / hit_ns,
             nested_bfs_ns / csr_bfs_ns,
             reader_throughput
@@ -281,6 +297,8 @@ fn serving_throughput(c: &mut Criterion) {
             nested_bfs_ns,
             csr_bfs_ns,
             bfs_work: csr_work,
+            encode_ns,
+            response_bytes,
             reader_throughput,
             mixed,
         });
@@ -348,7 +366,8 @@ fn write_json_summary(reports: &[SizeReport]) {
         rows.push_str(&format!(
             "    {{\"history_snapshots\": {}, \"hit_ns\": {:.0}, \"deep_clone_ns\": {:.0}, \
              \"hit_vs_clone_speedup\": {:.1}, \"bfs_nested_ns\": {:.0}, \"bfs_csr_ns\": {:.0}, \
-             \"csr_speedup\": {:.2}, \"bfs_work_counters\": {}, \"readers\": [{readers}]{mixed}}}",
+             \"csr_speedup\": {:.2}, \"bfs_work_counters\": {}, \"encode_ns\": {:.0}, \
+             \"response_bytes\": {}, \"readers\": [{readers}]{mixed}}}",
             r.history,
             r.hit_ns,
             r.deep_clone_ns,
@@ -357,6 +376,8 @@ fn write_json_summary(reports: &[SizeReport]) {
             r.csr_bfs_ns,
             r.nested_bfs_ns / r.csr_bfs_ns,
             r.bfs_work,
+            r.encode_ns,
+            r.response_bytes,
         ));
     }
     let json = format!(
@@ -368,7 +389,9 @@ fn write_json_summary(reports: &[SizeReport]) {
          asserted identical across layouts; mixed_hit_ns = hit latency while a storm thread \
          drives continuous Strategy::Parallel recomputes on the thread pool (flatness \
          asserted only on hosts with >= 2 cores; on a single core timeslicing inflates it \
-         and the number is recorded unasserted)\",\n  \"sizes\": [\n{rows}\n  ]\n}}\n"
+         and the number is recorded unasserted); encode_ns = search_result_to_json on the \
+         cached result (the per-hit /query encode), response_bytes = the body it \
+         produced\",\n  \"sizes\": [\n{rows}\n  ]\n}}\n"
     );
     let path = "BENCH_serving.json";
     std::fs::write(path, &json).expect("write bench summary");

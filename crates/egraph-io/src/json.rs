@@ -338,7 +338,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(x) => out.push_str(&x.to_string()),
+            Value::Int(x) => write_json_i64(out, *x),
             Value::Number(x) => {
                 if x.is_finite() {
                     out.push_str(&format!("{x:?}"));
@@ -423,6 +423,95 @@ pub fn write_json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Two decimal digits per entry: `DIGIT_PAIRS[2k..2k + 2]` spells `k`
+/// (zero-padded) for `k < 100`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut k = 0;
+    while k < 100 {
+        table[2 * k] = b'0' + (k / 10) as u8;
+        table[2 * k + 1] = b'0' + (k % 10) as u8;
+        k += 1;
+    }
+    table
+};
+
+/// Writes the decimal digits of `x` to the start of `dst` and returns how
+/// many there are (1 to 20): plain decimal, no sign, no leading zeros, the
+/// same text as `x.to_string()`. The hot JSON writers ([`Value`], the
+/// result codec of `egraph-query`, push frames) spell integers through
+/// here, so their number format lives in one place.
+///
+/// # Panics
+/// If `dst` is shorter than the digits.
+fn put_digits(mut x: u64, dst: &mut [u8]) -> usize {
+    let len = x.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut end = len;
+    while x >= 100 {
+        let pair = (x % 100) as usize * 2;
+        x /= 100;
+        end -= 2;
+        dst[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if x >= 10 {
+        let pair = x as usize * 2;
+        dst[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        dst[0] = b'0' + x as u8;
+    }
+    len
+}
+
+/// Appends `x` to `out` as a JSON integer, without allocating.
+pub fn write_json_u64(out: &mut String, x: u64) {
+    let mut buf = [0u8; 20];
+    let len = put_digits(x, &mut buf);
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("decimal digits are ASCII"));
+}
+
+/// Byte-buffer twin of [`write_json_u64`].
+pub fn push_json_u64(out: &mut Vec<u8>, x: u64) {
+    let mut buf = [0u8; 20];
+    let len = put_digits(x, &mut buf);
+    out.extend_from_slice(&buf[..len]);
+}
+
+/// Signed twin of [`write_json_u64`]: a leading `-` for negative values,
+/// `i64::MIN` included.
+pub fn write_json_i64(out: &mut String, x: i64) {
+    if x < 0 {
+        out.push('-');
+    }
+    write_json_u64(out, x.unsigned_abs());
+}
+
+/// Appends `values` to the byte buffer `out` as a flat JSON array of
+/// integers, `[1,2,3]`: the tuple shape of coordinates and reached entries.
+/// The array is spelled on the stack and copied into `out` once, so a
+/// writer emitting millions of small tuples pays one bounds check and one
+/// copy per tuple, not one per character.
+pub fn push_json_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    // Room for four 10-digit values, their commas and both brackets.
+    let mut line = [0u8; 48];
+    let mut len = 0;
+    line[len] = b'[';
+    len += 1;
+    for (i, &x) in values.iter().enumerate() {
+        if len + 11 >= line.len() {
+            out.extend_from_slice(&line[..len]);
+            len = 0;
+        }
+        if i > 0 {
+            line[len] = b',';
+            len += 1;
+        }
+        len += put_digits(x.into(), &mut line[len..]);
+    }
+    line[len] = b']';
+    len += 1;
+    out.extend_from_slice(&line[..len]);
 }
 
 /// Parses a complete JSON document from `input`. The document must span the
@@ -811,6 +900,41 @@ mod tests {
     use egraph_core::bfs::bfs;
     use egraph_core::examples::paper_figure1;
     use egraph_core::graph::EvolvingGraph;
+
+    #[test]
+    fn integers_are_written_exactly_like_display() {
+        let mut samples: Vec<i64> =
+            vec![0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, i64::MAX, i64::MIN];
+        for k in 0..19 {
+            let p = 10i64.pow(k);
+            samples.extend([p - 1, p, p + 1, -p, -p - 1]);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            samples.push(state as i64 >> (state % 64));
+        }
+        for x in samples {
+            let mut signed = String::from("[");
+            write_json_i64(&mut signed, x);
+            assert_eq!(signed, format!("[{x}"));
+            assert_eq!(Value::Int(x).to_json(), x.to_string());
+            let mut unsigned = String::new();
+            write_json_u64(&mut unsigned, x as u64);
+            assert_eq!(unsigned, (x as u64).to_string());
+        }
+        let mut unsigned = String::new();
+        write_json_u64(&mut unsigned, u64::MAX);
+        assert_eq!(unsigned, u64::MAX.to_string());
+        for values in [&[][..], &[7], &[0, 42, u32::MAX], &[u32::MAX; 9]] {
+            let mut bytes = Vec::new();
+            push_json_u32s(&mut bytes, values);
+            let expected = format!("{values:?}").replace(' ', "");
+            assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+        }
+    }
 
     #[test]
     fn graph_round_trips_through_json() {

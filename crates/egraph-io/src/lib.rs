@@ -32,6 +32,7 @@ pub use edgelist::{
 };
 pub use json::{
     bfs_result_from_json, bfs_result_to_json, graph_from_json, graph_to_json, parse_value,
-    read_value, write_json_string, BfsResultDocument, JsonError, Value,
+    push_json_u32s, push_json_u64, read_value, write_json_i64, write_json_string, write_json_u64,
+    BfsResultDocument, JsonError, Value,
 };
 pub use report::{linear_fit, SeriesTable};

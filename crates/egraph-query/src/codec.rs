@@ -37,11 +37,24 @@
 //! tables, `"shared"` the single nearest-source map. All coordinates are in
 //! the queried graph's snapshot indices, exactly as [`SearchResult`] stores
 //! them.
+//!
+//! ## Encoding a result
+//!
+//! A server re-encodes a cached result on every hit, so the result encoder
+//! is the serve path's largest cost. [`write_search_result_json`] appends
+//! the document straight into one `String`: one pass over each map's flat
+//! storage (parents gathered in the same pass), integers spelled on the
+//! stack by `egraph_io::json`'s formatter, no intermediate [`Value`] tree
+//! and no allocation per entry. [`search_result_to_json`] is that writer into a
+//! fresh string. The output is compact (no whitespace), and the tests pin
+//! it byte for byte to a `Value`-tree reference encoder. Decoding parses
+//! through [`Value`], since its input is untrusted and its cost falls on
+//! the client.
 
-use egraph_core::distance::{DistanceMap, MultiSourceMap};
+use egraph_core::distance::{DistanceMap, MultiSourceMap, UNREACHED};
 use egraph_core::foremost::ForemostResult;
 use egraph_core::ids::{TemporalNode, TimeIndex};
-use egraph_io::json::{JsonError, Value};
+use egraph_io::json::{push_json_u32s, push_json_u64, JsonError, Value};
 
 use crate::builder::{Strategy, WindowSpec};
 use crate::descriptor::QueryDescriptor;
@@ -228,54 +241,6 @@ pub fn descriptor_from_json(json: &str) -> Result<QueryDescriptor> {
 // SearchResult ⇄ JSON
 // ---------------------------------------------------------------------------
 
-fn optional_time_to_value(t: Option<TimeIndex>) -> Value {
-    match t {
-        Some(t) => Value::Int(t.0 as i64),
-        None => Value::Null,
-    }
-}
-
-fn distance_map_to_value(map: &DistanceMap) -> Value {
-    let mut entries: Vec<(String, Value)> = vec![
-        ("root".into(), temporal_node_to_value(map.root())),
-        (
-            "reached".into(),
-            Value::Array(
-                map.reached()
-                    .into_iter()
-                    .map(|(tn, d)| {
-                        Value::Array(vec![
-                            Value::Int(tn.node.0 as i64),
-                            Value::Int(tn.time.0 as i64),
-                            Value::Int(d as i64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    // Parents are not flagged on the map itself; probe for them. A map
-    // built with parents gives every reached non-root node a parent, one
-    // built without gives none, so any Some() means "recorded".
-    let parents: Vec<Value> = map
-        .reached()
-        .into_iter()
-        .filter_map(|(tn, _)| map.parent(tn).map(|p| (tn, p)))
-        .map(|(tn, p)| {
-            Value::Array(vec![
-                Value::Int(tn.node.0 as i64),
-                Value::Int(tn.time.0 as i64),
-                Value::Int(p.node.0 as i64),
-                Value::Int(p.time.0 as i64),
-            ])
-        })
-        .collect();
-    if !parents.is_empty() {
-        entries.push(("parents".into(), Value::Array(parents)));
-    }
-    Value::Object(entries)
-}
-
 fn distance_map_from_value(
     value: &Value,
     num_nodes: usize,
@@ -375,96 +340,162 @@ fn check_coords(tn: TemporalNode, num_nodes: usize, num_timestamps: usize) -> Re
     Ok(())
 }
 
-/// Encodes a result as a [`Value`] (for embedding in subscription frames).
-pub fn search_result_to_value(result: &SearchResult) -> Value {
+/// Appends `tn` as a `[node, time]` pair.
+fn push_temporal_node(out: &mut Vec<u8>, tn: TemporalNode) {
+    push_json_u32s(out, &[tn.node.0, tn.time.0]);
+}
+
+/// Calls `f(node, time, distance)` for every reached entry of a flat
+/// time-major distance slice, in flat-index order — the order
+/// [`DistanceMap::reached`] lists them in, without building that list.
+fn for_each_reached(dist: &[u32], num_nodes: usize, mut f: impl FnMut(u32, u32, u32)) {
+    for (time, row) in dist.chunks(num_nodes.max(1)).enumerate() {
+        for (node, &d) in row.iter().enumerate() {
+            if d != UNREACHED {
+                f(node as u32, time as u32, d);
+            }
+        }
+    }
+}
+
+/// Appends one `hops` map: `{"root", "reached"[, "parents"]}`. The reached
+/// triples go straight into `out` in one pass over the flat distances; the
+/// parent quads of a parent-recording map are gathered in the same pass and
+/// follow. A map recorded without parents, or one whose only reached node
+/// is its root, has no parent quad and no `"parents"` key.
+fn push_distance_map(out: &mut Vec<u8>, map: &DistanceMap) {
+    out.extend_from_slice(b"{\"root\":");
+    push_temporal_node(out, map.root());
+    out.extend_from_slice(b",\"reached\":[");
+    let with_parents = map.has_parents();
+    let mut parents = Vec::new();
+    let mut first = true;
+    for_each_reached(map.as_flat_slice(), map.num_nodes(), |node, time, d| {
+        if !first {
+            out.push(b',');
+        }
+        first = false;
+        push_json_u32s(out, &[node, time, d]);
+        if !with_parents {
+            return;
+        }
+        if let Some(p) = map.parent(TemporalNode::from_raw(node, time)) {
+            if !parents.is_empty() {
+                parents.push(b',');
+            }
+            push_json_u32s(&mut parents, &[node, time, p.node.0, p.time.0]);
+        }
+    });
+    out.push(b']');
+    if !parents.is_empty() {
+        out.extend_from_slice(b",\"parents\":[");
+        out.extend_from_slice(&parents);
+        out.push(b']');
+    }
+    out.push(b'}');
+}
+
+/// Opens a result document: the kind tag, the `"reversed"` flag and, for
+/// map payloads, the dimensions.
+fn push_header(out: &mut Vec<u8>, kind: &str, reversed: bool, dims: Option<(usize, usize)>) {
+    out.extend_from_slice(b"{\"kind\":\"");
+    out.extend_from_slice(kind.as_bytes());
+    out.extend_from_slice(b"\",\"reversed\":");
+    out.extend_from_slice(if reversed { b"true" } else { b"false" });
+    if let Some((num_nodes, num_timestamps)) = dims {
+        out.extend_from_slice(b",\"num_nodes\":");
+        push_json_u64(out, num_nodes as u64);
+        out.extend_from_slice(b",\"num_timestamps\":");
+        push_json_u64(out, num_timestamps as u64);
+    }
+}
+
+/// The writer behind [`write_search_result_json`], on bytes.
+fn push_search_result(out: &mut Vec<u8>, result: &SearchResult) {
     let reversed = result.is_time_reversed();
     if let Some(maps) = result.try_distance_maps() {
-        Value::Object(vec![
-            ("kind".into(), Value::String("hops".into())),
-            ("reversed".into(), Value::Bool(reversed)),
-            ("num_nodes".into(), Value::Int(maps[0].num_nodes() as i64)),
-            (
-                "num_timestamps".into(),
-                Value::Int(maps[0].num_timestamps() as i64),
-            ),
-            (
-                "maps".into(),
-                Value::Array(maps.iter().map(distance_map_to_value).collect()),
-            ),
-        ])
+        let dims = (maps[0].num_nodes(), maps[0].num_timestamps());
+        push_header(out, "hops", reversed, Some(dims));
+        out.extend_from_slice(b",\"maps\":[");
+        for (i, map) in maps.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            push_distance_map(out, map);
+        }
+        out.extend_from_slice(b"]}");
     } else if let Some(tables) = result.try_foremost_results() {
-        Value::Object(vec![
-            ("kind".into(), Value::String("arrivals".into())),
-            ("reversed".into(), Value::Bool(reversed)),
-            (
-                "tables".into(),
-                Value::Array(
-                    tables
-                        .iter()
-                        .map(|t| {
-                            Value::Object(vec![
-                                ("root".into(), temporal_node_to_value(t.root())),
-                                (
-                                    "arrivals".into(),
-                                    Value::Array(
-                                        t.arrivals()
-                                            .iter()
-                                            .map(|&a| optional_time_to_value(a))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        push_header(out, "arrivals", reversed, None);
+        out.extend_from_slice(b",\"tables\":[");
+        for (i, table) in tables.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.extend_from_slice(b"{\"root\":");
+            push_temporal_node(out, table.root());
+            out.extend_from_slice(b",\"arrivals\":[");
+            for (j, arrival) in table.arrivals().iter().enumerate() {
+                if j > 0 {
+                    out.push(b',');
+                }
+                match arrival {
+                    Some(t) => push_json_u64(out, t.0.into()),
+                    None => out.extend_from_slice(b"null"),
+                }
+            }
+            out.extend_from_slice(b"]}");
+        }
+        out.extend_from_slice(b"]}");
     } else {
         let shared = result
             .try_shared_map()
             .expect("every payload is hops, arrivals or shared");
-        Value::Object(vec![
-            ("kind".into(), Value::String("shared".into())),
-            ("reversed".into(), Value::Bool(reversed)),
-            ("num_nodes".into(), Value::Int(shared.num_nodes() as i64)),
-            (
-                "num_timestamps".into(),
-                Value::Int(shared.num_timestamps() as i64),
-            ),
-            (
-                "sources".into(),
-                Value::Array(
-                    shared
-                        .sources()
-                        .iter()
-                        .map(|&tn| temporal_node_to_value(tn))
-                        .collect(),
-                ),
-            ),
-            (
-                "reached".into(),
-                Value::Array(
-                    shared
-                        .reached_with_sources()
-                        .into_iter()
-                        .map(|(tn, d, s)| {
-                            Value::Array(vec![
-                                Value::Int(tn.node.0 as i64),
-                                Value::Int(tn.time.0 as i64),
-                                Value::Int(d as i64),
-                                Value::Int(s as i64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let dims = (shared.num_nodes(), shared.num_timestamps());
+        push_header(out, "shared", reversed, Some(dims));
+        out.extend_from_slice(b",\"sources\":[");
+        for (i, &tn) in shared.sources().iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            push_temporal_node(out, tn);
+        }
+        out.extend_from_slice(b"],\"reached\":[");
+        let mut first = true;
+        for_each_reached(
+            shared.as_flat_slice(),
+            shared.num_nodes(),
+            |node, time, d| {
+                if !first {
+                    out.push(b',');
+                }
+                first = false;
+                let source = shared
+                    .nearest_source_index(TemporalNode::from_raw(node, time))
+                    .expect("every reached entry has a nearest source");
+                push_json_u32s(out, &[node, time, d, source as u32]);
+            },
+        );
+        out.extend_from_slice(b"]}");
     }
+}
+
+/// Appends the result document of `result` to `out` (see the module docs
+/// for its three shapes). Each entry is written straight into `out`'s
+/// buffer: no intermediate document tree, no per-entry allocation.
+/// [`search_result_to_json`] is this into a fresh string; push frames use
+/// it to write the result into the buffer that already holds their
+/// envelope.
+pub fn write_search_result_json(out: &mut String, result: &SearchResult) {
+    let mut bytes = std::mem::take(out).into_bytes();
+    push_search_result(&mut bytes, result);
+    *out = String::from_utf8(bytes).expect("the result writer emits ASCII");
 }
 
 /// Encodes a result as a JSON string — the `/query` response body.
 pub fn search_result_to_json(result: &SearchResult) -> String {
-    search_result_to_value(result).to_json()
+    let mut out = String::new();
+    write_search_result_json(&mut out, result);
+    out
 }
 
 /// Decodes a result from a [`Value`]. See the module docs for the three
@@ -570,6 +601,7 @@ pub fn search_result_from_json(json: &str) -> Result<SearchResult> {
 mod tests {
     use super::*;
     use crate::Search;
+    use egraph_core::adjacency::AdjacencyListGraph;
     use egraph_core::examples::paper_figure1;
     use egraph_core::graph::EvolvingGraph;
     use egraph_core::ids::NodeId;
@@ -697,6 +729,281 @@ mod tests {
             );
             assert_eq!(decoded.distance(tn), result.distance(tn));
         }
+    }
+
+    /// The encoder this module shipped before the direct writer — build a
+    /// [`Value`] tree, then serialise it — kept as the byte-for-byte
+    /// reference the writer is tested against.
+    mod reference {
+        use super::*;
+
+        fn optional_time_to_value(t: Option<TimeIndex>) -> Value {
+            match t {
+                Some(t) => Value::Int(t.0 as i64),
+                None => Value::Null,
+            }
+        }
+
+        fn distance_map_to_value(map: &DistanceMap) -> Value {
+            let mut entries: Vec<(String, Value)> = vec![
+                ("root".into(), temporal_node_to_value(map.root())),
+                (
+                    "reached".into(),
+                    Value::Array(
+                        map.reached()
+                            .into_iter()
+                            .map(|(tn, d)| {
+                                Value::Array(vec![
+                                    Value::Int(tn.node.0 as i64),
+                                    Value::Int(tn.time.0 as i64),
+                                    Value::Int(d as i64),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ];
+            let parents: Vec<Value> = map
+                .reached()
+                .into_iter()
+                .filter_map(|(tn, _)| map.parent(tn).map(|p| (tn, p)))
+                .map(|(tn, p)| {
+                    Value::Array(vec![
+                        Value::Int(tn.node.0 as i64),
+                        Value::Int(tn.time.0 as i64),
+                        Value::Int(p.node.0 as i64),
+                        Value::Int(p.time.0 as i64),
+                    ])
+                })
+                .collect();
+            if !parents.is_empty() {
+                entries.push(("parents".into(), Value::Array(parents)));
+            }
+            Value::Object(entries)
+        }
+
+        pub fn search_result_to_value(result: &SearchResult) -> Value {
+            let reversed = result.is_time_reversed();
+            if let Some(maps) = result.try_distance_maps() {
+                Value::Object(vec![
+                    ("kind".into(), Value::String("hops".into())),
+                    ("reversed".into(), Value::Bool(reversed)),
+                    ("num_nodes".into(), Value::Int(maps[0].num_nodes() as i64)),
+                    (
+                        "num_timestamps".into(),
+                        Value::Int(maps[0].num_timestamps() as i64),
+                    ),
+                    (
+                        "maps".into(),
+                        Value::Array(maps.iter().map(distance_map_to_value).collect()),
+                    ),
+                ])
+            } else if let Some(tables) = result.try_foremost_results() {
+                Value::Object(vec![
+                    ("kind".into(), Value::String("arrivals".into())),
+                    ("reversed".into(), Value::Bool(reversed)),
+                    (
+                        "tables".into(),
+                        Value::Array(
+                            tables
+                                .iter()
+                                .map(|t| {
+                                    Value::Object(vec![
+                                        ("root".into(), temporal_node_to_value(t.root())),
+                                        (
+                                            "arrivals".into(),
+                                            Value::Array(
+                                                t.arrivals()
+                                                    .iter()
+                                                    .map(|&a| optional_time_to_value(a))
+                                                    .collect(),
+                                            ),
+                                        ),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ])
+            } else {
+                let shared = result.try_shared_map().unwrap();
+                Value::Object(vec![
+                    ("kind".into(), Value::String("shared".into())),
+                    ("reversed".into(), Value::Bool(reversed)),
+                    ("num_nodes".into(), Value::Int(shared.num_nodes() as i64)),
+                    (
+                        "num_timestamps".into(),
+                        Value::Int(shared.num_timestamps() as i64),
+                    ),
+                    (
+                        "sources".into(),
+                        Value::Array(
+                            shared
+                                .sources()
+                                .iter()
+                                .map(|&tn| temporal_node_to_value(tn))
+                                .collect(),
+                        ),
+                    ),
+                    (
+                        "reached".into(),
+                        Value::Array(
+                            shared
+                                .reached_with_sources()
+                                .into_iter()
+                                .map(|(tn, d, s)| {
+                                    Value::Array(vec![
+                                        Value::Int(tn.node.0 as i64),
+                                        Value::Int(tn.time.0 as i64),
+                                        Value::Int(d as i64),
+                                        Value::Int(s as i64),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ])
+            }
+        }
+    }
+
+    /// Runs `search` on `graph` and asserts the direct writer's bytes equal
+    /// the reference encoder's; returns the document. `None` when the
+    /// search itself fails (an inactive root, say).
+    fn assert_writer_matches_reference<G: EvolvingGraph + Sync>(
+        graph: &G,
+        search: &Search,
+    ) -> Option<String> {
+        let result = search.run(graph).ok()?;
+        let written = search_result_to_json(&result);
+        let expected = reference::search_result_to_value(&result).to_json();
+        assert_eq!(written, expected, "{:?}", search.descriptor());
+        Some(written)
+    }
+
+    /// Four nodes over two snapshots where nodes 0 and 1 both reach node 2
+    /// in one hop at snapshot 0: a shared search from both ties there.
+    fn tie_graph() -> AdjacencyListGraph {
+        let mut g = AdjacencyListGraph::directed_with_unit_times(4, 2);
+        for (u, v, t) in [(0, 2, 0), (1, 2, 0), (2, 3, 1)] {
+            g.add_edge(NodeId(u), NodeId(v), TimeIndex(t)).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree_on_every_payload_kind() {
+        let g = paper_figure1();
+        let (a, b) = roots();
+        let both = || Search::from_sources([a, b]);
+        let searches = vec![
+            Search::from(a),
+            Search::from(a).with_parents(),
+            both(),
+            both().with_parents(),
+            Search::from(a).strategy(Strategy::Foremost),
+            both().strategy(Strategy::Foremost),
+            both().strategy(Strategy::SharedFrontier),
+            Search::from(a).reverse(),
+            Search::from(a).with_parents().reverse(),
+            both().strategy(Strategy::Foremost).reverse(),
+            both().strategy(Strategy::SharedFrontier).reverse(),
+            Search::from(a).window(..=1u32),
+            Search::from(a).with_parents().window(0u32..=1),
+            Search::from(TemporalNode::from_raw(2, 2)).backward(),
+            Search::from(TemporalNode::from_raw(2, 2))
+                .backward()
+                .window(1u32..),
+            both().strategy(Strategy::Foremost).window(0u32..=1),
+            both().strategy(Strategy::SharedFrontier).window(0u32..=1),
+        ];
+        let mut kinds = std::collections::BTreeSet::new();
+        for search in &searches {
+            let json = assert_writer_matches_reference(&g, search)
+                .unwrap_or_else(|| panic!("{:?} must run on figure 1", search.descriptor()));
+            kinds.insert(json[..json.find(',').unwrap()].to_string());
+        }
+        assert_eq!(kinds.len(), 3, "every payload kind covered: {kinds:?}");
+
+        // Parents recorded, and a parent-recording map whose root reaches
+        // nothing (no quads, so no "parents" key): node 3 at the last
+        // snapshot of the tie graph has no out-edge and no later copy.
+        let with_parents = assert_writer_matches_reference(&g, &searches[1]).unwrap();
+        assert!(with_parents.contains("\"parents\":"));
+        let lone = Search::from(TemporalNode::from_raw(3, 1)).with_parents();
+        let lone = assert_writer_matches_reference(&tie_graph(), &lone).unwrap();
+        assert!(!lone.contains("parents"), "{lone}");
+        // Arrival tables carry `null` for nodes a root never reaches.
+        let arrivals = assert_writer_matches_reference(&g, &searches[5]).unwrap();
+        assert!(arrivals.contains("null"), "{arrivals}");
+
+        // Shared attribution with a tie: node 2 at snapshot 0 is one hop
+        // from both sources and goes to the smaller source index.
+        let tie = tie_graph();
+        let shared =
+            Search::from_sources([TemporalNode::from_raw(0, 0), TemporalNode::from_raw(1, 0)])
+                .strategy(Strategy::SharedFrontier);
+        let json = assert_writer_matches_reference(&tie, &shared).unwrap();
+        assert!(json.contains("[2,0,1,0]"), "{json}");
+        assert_writer_matches_reference(&tie, &shared.clone().reverse()).unwrap();
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree_on_random_graphs() {
+        use egraph_gen::random::{uniform_random_graph, UniformRandomConfig};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut encoded = 0;
+        for seed in 0..48u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let num_nodes = rng.gen_range(2..40usize);
+            let num_timestamps = rng.gen_range(1..7usize);
+            let g = uniform_random_graph(&UniformRandomConfig {
+                num_nodes,
+                num_timestamps,
+                num_edges: rng.gen_range(0..num_nodes * num_timestamps * 3),
+                directed: rng.gen_range(0..2) == 0,
+                seed,
+            });
+            let active = g.active_nodes();
+            if active.is_empty() {
+                continue;
+            }
+            let pick = |rng: &mut SmallRng| active[rng.gen_range(0..active.len())];
+            let sources: Vec<TemporalNode> =
+                (0..rng.gen_range(1..4)).map(|_| pick(&mut rng)).collect();
+            let start = rng.gen_range(0..num_timestamps as u32);
+            let end = rng.gen_range(start..num_timestamps as u32);
+            for strategy in [
+                Strategy::Serial,
+                Strategy::Parallel,
+                Strategy::Foremost,
+                Strategy::SharedFrontier,
+            ] {
+                let base = Search::from_sources(sources.clone()).strategy(strategy);
+                let mut variants = vec![
+                    base.clone(),
+                    base.clone().reverse(),
+                    base.clone().backward(),
+                    base.clone().window(start..=end),
+                    base.clone().backward().reverse().window(start..),
+                ];
+                if strategy == Strategy::Serial {
+                    variants.push(base.clone().with_parents());
+                    variants.push(base.clone().with_parents().reverse().window(..=end));
+                }
+                for search in &variants {
+                    if assert_writer_matches_reference(&g, search).is_some() {
+                        encoded += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            encoded > 600,
+            "the sweep must exercise the writer ({encoded} documents)"
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! The build environment has no registry access, so there is no framework
 //! underneath — the HTTP codec ([`http`]), admission layer
-//! ([`singleflight`]) and server loop are plain `std` + the workspace's
-//! in-tree rayon shim, which also executes every request handler as a
-//! detached pool job.
+//! ([`singleflight`]) and server loop are plain `std`: every admitted
+//! connection runs on a thread of its own, off the rayon pool that the
+//! searches compute on.
 //!
 //! ## Quickstart
 //!

@@ -1,11 +1,15 @@
 //! The server: accept loop, routing, request handlers, graceful shutdown.
 //!
-//! One dedicated thread owns `accept()`; every accepted connection becomes a
-//! detached job on the shared rayon pool (`rayon::spawn`), so request
-//! handling, cache repairs and frontier-parallel traversals all draw from
-//! the same thread budget instead of spawning unbounded per-connection
-//! threads. A handler blocked on slow client I/O is bounded by the
-//! per-connection socket timeouts ([`ServerConfig::io_timeout`]).
+//! One dedicated thread owns `accept()`; every admitted connection runs on
+//! a `std::thread` of its own, and at most [`ServerConfig::max_inflight`]
+//! of them run at once. Connection I/O never runs on the rayon compute
+//! pool, which only computes: cold searches, cache repairs and the
+//! frontier-parallel traversals inside them. A handler blocked on a slow
+//! client, or waiting on a single-flight leader or on a forwarded write,
+//! therefore holds only its own thread and cannot starve another
+//! connection or a computation, at any pool size. Its wait on the socket
+//! is bounded by the per-connection timeouts
+//! ([`ServerConfig::io_timeout`]).
 //!
 //! ## Routes
 //!
@@ -89,9 +93,10 @@
 //!
 //! Admission is bounded: when [`ServerConfig::max_inflight`] handlers are
 //! already running, the accept thread sheds the connection with `503` +
-//! `Retry-After` *before* reading the request — pool workers may all be
-//! pinned by slow cold computations, which is exactly the condition being
-//! defended against, so the shed path cannot depend on them. Parked
+//! `Retry-After` *before* reading the request — every handler may be
+//! pinned by a slow cold computation, which is exactly the condition being
+//! defended against, so the shed path cannot depend on them. A connection
+//! whose handler thread cannot be started is shed the same way. Parked
 //! connections (subscribers, tailers, coalesced single-flight waiters)
 //! hold no handler and do not count against the bound. Shed requests are
 //! counted as `requests_shed` in `/stats`;
@@ -116,8 +121,9 @@ use std::time::Duration;
 
 use egraph_core::csr::CsrAdjacency;
 use egraph_io::checkpoint::{decode_checkpoint, encode_checkpoint};
+use egraph_io::json::{write_json_i64, write_json_string, write_json_u64};
 use egraph_log::{decode_segment, EventLog, Sealed};
-use egraph_query::codec::{descriptor_from_json, search_result_to_json};
+use egraph_query::codec::{descriptor_from_json, search_result_to_json, write_search_result_json};
 use egraph_query::QueryDescriptor;
 use egraph_stream::durable::{event_to_record, replay_segment, RecoveredGraph};
 use egraph_stream::{CacheOutcome, CacheStats, EdgeEvent, LiveGraph, QueryCache};
@@ -603,12 +609,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        // Bounded admission, decided here on the accept thread: if every
-        // pool worker is pinned by a slow handler, a shed must not need
-        // one. The 503 goes out before the request is even read — an
-        // overloaded server spends only a head-sized socket write per
-        // refusal. The count is reserved under the lock so a burst cannot
-        // overshoot the bound between check and increment.
+        // Bounded admission, decided here on the accept thread, so a shed
+        // never waits on a handler. The 503 goes out before the request is
+        // even read — an overloaded server spends only a head-sized socket
+        // write per refusal. The count is reserved under the lock so a
+        // burst cannot overshoot the bound between check and increment.
         let admitted = {
             let mut count = lock(&shared.in_flight);
             if *count >= shared.config.max_inflight {
@@ -619,18 +624,52 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
         };
         if !admitted {
-            shared.requests_shed.fetch_add(1, Ordering::Relaxed);
             shed_connection(&shared, stream);
             continue;
         }
-        let job_shared = Arc::clone(&shared);
-        rayon::spawn(move || {
-            let guard = ConnectionGuard {
-                shared: Arc::clone(&job_shared),
-            };
-            handle_connection(&job_shared, stream);
-            drop(guard);
+        dispatch(&shared, stream, |job| {
+            std::thread::Builder::new()
+                .name("egraph-conn".into())
+                .spawn(job)
+                .map(drop)
         });
+    }
+}
+
+/// An admitted connection waiting for its handler thread: the stream and
+/// the guard that releases its `in_flight` slot travel together.
+type Handoff = Mutex<Option<(TcpStream, ConnectionGuard)>>;
+
+/// Runs one admitted connection on a thread of its own, started by `spawn`
+/// (see the module docs for why not on the compute pool). The thread is
+/// detached: shutdown waits for it through the `in_flight` count, which its
+/// guard decrements even if the handler panics.
+///
+/// The connection waits in a hand-off slot that the new thread empties. If
+/// the thread cannot be started, the slot is still full — whatever `spawn`
+/// did with the job — so the connection is shed with `503` and its
+/// `in_flight` slot released here, on the accept thread.
+fn dispatch(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    spawn: impl FnOnce(Box<dyn FnOnce() + Send>) -> std::io::Result<()>,
+) {
+    let guard = ConnectionGuard {
+        shared: Arc::clone(shared),
+    };
+    let slot: Arc<Handoff> = Arc::new(Mutex::new(Some((stream, guard))));
+    let job_slot = Arc::clone(&slot);
+    let job = Box::new(move || {
+        let taken = lock(&job_slot).take();
+        if let Some((stream, guard)) = taken {
+            handle_connection(&guard.shared, stream);
+        }
+    });
+    if spawn(job).is_err() {
+        let taken = lock(&slot).take();
+        if let Some((stream, _guard)) = taken {
+            shed_connection(shared, stream);
+        }
     }
 }
 
@@ -643,6 +682,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// closes within a round trip; a stalled one costs at most the short
 /// timeout.
 fn shed_connection(shared: &Shared, mut stream: TcpStream) {
+    shared.requests_shed.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(shared.config.io_timeout);
     let _ = http::write_response_with_retry_after(
         &mut stream,
@@ -785,8 +825,8 @@ fn handle_query(shared: &Arc<Shared>, mut stream: TcpStream, request: &Request) 
     }
 
     // Failpoint: a scripted delay here stretches the cold computation,
-    // which is how the chaos suite pins pool workers to manufacture
-    // overload deterministically.
+    // which is how the chaos suite pins handlers to manufacture overload
+    // deterministically.
     let _ = egraph_fault::fired("serve.query.compute");
 
     // Tier 3: compute through the cache, under the graph's read lock (the
@@ -898,7 +938,8 @@ fn log_labels(shared: &Shared) -> LogLabels {
 }
 
 /// One push frame. `result` is `Err(message)` when the standing query
-/// failed at this version (the stream stays open — it may heal).
+/// failed at this version (the stream stays open — it may heal). The
+/// envelope and the result document are written into one buffer.
 fn frame_body(
     seq: u64,
     version: u64,
@@ -908,24 +949,30 @@ fn frame_body(
     result: Result<&egraph_query::SearchResult, &str>,
 ) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{{\"seq\": {seq}, \"version\": {version}"));
+    out.push_str("{\"seq\": ");
+    write_json_u64(&mut out, seq);
+    out.push_str(", \"version\": ");
+    write_json_u64(&mut out, version);
     if let Some(label) = label {
-        out.push_str(&format!(", \"label\": {label}"));
+        out.push_str(", \"label\": ");
+        write_json_i64(&mut out, label);
     }
-    out.push_str(&format!(
-        ", \"segments_sealed\": {}, \"segments_replayed\": {}, \"follower_lag_seals\": {}",
-        log.segments_sealed, log.segments_replayed, log.follower_lag_seals
-    ));
+    out.push_str(", \"segments_sealed\": ");
+    write_json_u64(&mut out, log.segments_sealed);
+    out.push_str(", \"segments_replayed\": ");
+    write_json_u64(&mut out, log.segments_replayed);
+    out.push_str(", \"follower_lag_seals\": ");
+    write_json_u64(&mut out, log.follower_lag_seals);
     out.push_str(", \"outcome\": ");
-    egraph_io::write_json_string(&mut out, outcome);
+    write_json_string(&mut out, outcome);
     match result {
         Ok(result) => {
             out.push_str(", \"result\": ");
-            out.push_str(&search_result_to_json(result));
+            write_search_result_json(&mut out, result);
         }
         Err(message) => {
             out.push_str(", \"error\": ");
-            egraph_io::write_json_string(&mut out, message);
+            write_json_string(&mut out, message);
         }
     }
     out.push('}');
@@ -1704,6 +1751,51 @@ mod tests {
         );
         let initial = frame_body(0, 1, None, "miss", labels, Err("x"));
         assert!(!initial.contains("\"label\""));
+
+        // A result is embedded as its `/query` document, byte for byte.
+        let mut live = LiveGraph::directed(3);
+        live.insert(egraph_core::ids::NodeId(0), egraph_core::ids::NodeId(1))
+            .unwrap();
+        live.seal_snapshot(-7).unwrap();
+        let search = egraph_query::Search::from(egraph_core::ids::TemporalNode::from_raw(0, 0));
+        let result = search.run(live.graph()).unwrap();
+        let frame = frame_body(7, 1, Some(-7), "hit", labels, Ok(&result));
+        let expected = format!(
+            "{{\"seq\": 7, \"version\": 1, \"label\": -7, \"segments_sealed\": 4, \
+             \"segments_replayed\": 2, \"follower_lag_seals\": 1, \"outcome\": \"hit\", \
+             \"result\": {}}}",
+            search_result_to_json(&result)
+        );
+        assert_eq!(frame, expected);
+    }
+
+    #[test]
+    fn a_handler_thread_that_cannot_start_sheds_and_releases_its_slot() {
+        use std::io::Read;
+        let server = Server::start(LiveGraph::directed(2), ServerConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // The job is dropped (what std does when a thread cannot start) or
+        // leaked outright; either way the connection must be answered and
+        // its slot released.
+        for leak_job in [false, true] {
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            *lock(&server.shared.in_flight) += 1; // reserved, as by the accept loop
+            dispatch(&server.shared, accepted, |job| {
+                if leak_job {
+                    std::mem::forget(job);
+                } else {
+                    drop(job);
+                }
+                Err(std::io::Error::other("no thread for this connection"))
+            });
+            assert_eq!(*lock(&server.shared.in_flight), 0, "the slot is released");
+            let mut response = String::new();
+            client.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+            assert!(response.contains("Retry-After"), "{response}");
+        }
+        assert_eq!(server.stats().requests_shed, 2);
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! * standing queries: a subscriber gets one frame per sealed snapshot, in
 //!   seal order, each carrying the result the graph had at that seal;
 //! * hostile input: malformed, wrong-shaped and oversized requests get
-//!   structured `4xx` answers and the accept loop keeps serving.
+//!   structured `4xx` answers and the accept loop keeps serving;
+//! * liveness: with more connections stalled than the compute pool has
+//!   threads, under the production I/O timeout, a healthy query still
+//!   answers within 2 s.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use egraph_core::ids::{NodeId, TemporalNode};
 use egraph_query::codec::search_result_to_json;
@@ -423,18 +426,29 @@ fn shutdown_terminates_subscriptions_and_refuses_new_connections() {
 
 #[test]
 fn a_stalled_client_cannot_wedge_the_server() {
-    let (server, client) = start(ServerConfig {
-        io_timeout: Some(Duration::from_millis(200)),
-        ..ServerConfig::default()
-    });
-    // Connect and send nothing: the handler's read times out and the
-    // connection is abandoned without a response.
-    let stalled = TcpStream::connect(server.addr()).unwrap();
+    // The production I/O timeout (10 s): a stalled handler stays stalled
+    // for the whole test.
+    let (server, client) = start(ServerConfig::default());
+    // One stalled connection more than the compute pool has threads. Each
+    // connects and sends nothing, so its handler sits in a read that only
+    // the I/O timeout would end. Were handlers scheduled on the pool,
+    // these would hold every worker and the healthy query below would
+    // wait out the timeout.
+    let stalls = rayon::current_num_threads() + 1;
+    let stalled: Vec<TcpStream> = (0..stalls)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
     std::thread::sleep(Duration::from_millis(300));
 
-    // The server is still fully serviceable.
+    // The server is still fully serviceable, promptly.
     let descriptor = Search::from(TemporalNode::from_raw(0, 0)).descriptor();
+    let started = Instant::now();
     let response = client.query(&descriptor).unwrap();
+    let elapsed = started.elapsed();
     assert_eq!(response.status, 200);
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a healthy query took {elapsed:?} behind {stalls} stalled connections"
+    );
     drop(stalled);
 }
